@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the hot paths of every layer:
-//! FTL writes and GC, SOC insert/lookup, LOC append, Zipf sampling,
-//! Lambert-W evaluation, and the end-to-end cache get/put path.
+//! FTL writes and GC, SOC insert/lookup, LOC append, synthetic payload
+//! materialization, Zipf sampling, Lambert-W evaluation, and the
+//! end-to-end cache get/put path.
 //!
 //! These are engineering benchmarks (simulator throughput), not paper
 //! reproductions — the figure/table binaries in `src/bin/` are those.
@@ -102,6 +103,25 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_payload(c: &mut Criterion) {
+    let mut g = c.benchmark_group("payload");
+    // The bytes every synthetic flash insert writes (a LOC object here;
+    // SOC bucket pages also pay the page checksum, which
+    // `cache/put_small` covers).
+    let mut buf = vec![0u8; 32 * 1024];
+    g.throughput(Throughput::Bytes(buf.len() as u64));
+    g.bench_function("materialize_synthetic_32k", |b| {
+        let v = Value::synthetic(buf.len() as u32);
+        let mut key = 0u64;
+        b.iter(|| {
+            key += 1;
+            v.materialize(black_box(key), &mut buf);
+            black_box(&buf);
+        });
+    });
+    g.finish();
+}
+
 fn bench_workloads(c: &mut Criterion) {
     let mut g = c.benchmark_group("workloads");
     g.throughput(Throughput::Elements(1));
@@ -135,5 +155,5 @@ fn bench_model(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_ftl, bench_cache, bench_workloads, bench_model);
+criterion_group!(benches, bench_ftl, bench_cache, bench_payload, bench_workloads, bench_model);
 criterion_main!(benches);

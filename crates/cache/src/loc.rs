@@ -997,17 +997,15 @@ impl Loc {
         io: &mut IoManager,
         key: Key,
     ) -> Result<Option<bool>, CacheError> {
-        if let Some((_, _, v)) = self.active_keys.iter().find(|(k, _, _)| *k == key) {
+        if self.active_keys.iter().any(|(k, _, _)| *k == key) {
             // Still buffered in DRAM; nothing on flash to verify yet.
-            let _ = v;
             return Ok(Some(true));
         }
         let Some(entry) = self.index.get(&key).cloned() else {
             return Ok(None);
         };
         let range = self.read_covering_blocks(io, &entry)?;
-        let expect = entry.value.to_bytes(key);
-        Ok(Some(self.read_scratch[range] == expect[..]))
+        Ok(Some(entry.value.matches(key, &self.read_scratch[range])))
     }
 
     /// Patrol-reads every indexed object of `region` (no-op unless the
@@ -1045,7 +1043,7 @@ impl Loc {
             }
             pages += 1;
             let intact = match self.read_covering_blocks(io, &entry) {
-                Ok(range) => !retains || self.read_scratch[range] == entry.value.to_bytes(key)[..],
+                Ok(range) => !retains || entry.value.matches(key, &self.read_scratch[range]),
                 Err(e) if e.is_injected_fault() => {
                     self.stats.read_faults += 1;
                     false
@@ -1129,7 +1127,6 @@ impl Loc {
     /// [`CacheError::Config`] without a data-retaining store; otherwise
     /// propagates non-injected I/O failures. Injected read faults are
     /// retried once, then the affected region is treated as unsealed.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         base_block: u64,

@@ -6,9 +6,16 @@
 //! flash, deterministic filler bytes derived from the key are
 //! materialized so the device sees real full-size writes. `Value::Real`
 //! carries actual bytes for functional tests and examples.
+//!
+//! Synthetic bytes are a splitmix64 stream seeded from the key, written
+//! one whole 64-bit word per 8 bytes: this runs under the shard lock on
+//! every flash insert, so it must cost a store per word, not a copy call
+//! per word. [`Value::matches`] checks flash read-backs against the same
+//! stream without materializing a second copy.
 
 use std::sync::Arc;
 
+use crate::checksum::{mix64, word};
 use crate::Key;
 
 /// An object value.
@@ -59,23 +66,44 @@ impl Value {
     ///
     /// Synthetic bytes are a deterministic function of `key` and
     /// position, so read-back verification is possible even for
-    /// synthetic values when the backing store retains data.
+    /// synthetic values when the backing store retains data: byte
+    /// `8i + j` is byte `j` (little-endian) of the `i`-th splitmix64
+    /// output seeded from the key. Each word is stored whole, and only
+    /// the short tail (when `len() % 8 != 0`) is a partial copy.
     pub fn materialize(&self, key: Key, out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.len());
         match self {
             Value::Real(b) => out.copy_from_slice(b),
             Value::Synthetic(_) => {
-                let mut x = key ^ 0x9E37_79B9_7F4A_7C15;
-                for chunk in out.chunks_mut(8) {
-                    // splitmix64 step per 8 bytes.
-                    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let mut z = x;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    z ^= z >> 31;
-                    let bytes = z.to_le_bytes();
-                    chunk.copy_from_slice(&bytes[..chunk.len()]);
+                let mut words = SyntheticWords::new(key);
+                let mut chunks = out.chunks_exact_mut(8);
+                for chunk in chunks.by_ref() {
+                    chunk.copy_from_slice(&words.next_word().to_le_bytes());
                 }
+                let tail = chunks.into_remainder();
+                if !tail.is_empty() {
+                    tail.copy_from_slice(&words.next_word().to_le_bytes()[..tail.len()]);
+                }
+            }
+        }
+    }
+
+    /// Whether `bytes` is exactly what [`Value::materialize`] would
+    /// write for `key`. Synthetic values are compared word by word
+    /// against the generator, so checking a flash read-back allocates
+    /// nothing.
+    pub fn matches(&self, key: Key, bytes: &[u8]) -> bool {
+        if bytes.len() != self.len() {
+            return false;
+        }
+        match self {
+            Value::Real(b) => b[..] == *bytes,
+            Value::Synthetic(_) => {
+                let mut words = SyntheticWords::new(key);
+                let mut chunks = bytes.chunks_exact(8);
+                let body = chunks.by_ref().all(|chunk| word(chunk) == words.next_word());
+                let tail = chunks.remainder();
+                body && (tail.is_empty() || *tail == words.next_word().to_le_bytes()[..tail.len()])
             }
         }
     }
@@ -88,9 +116,94 @@ impl Value {
     }
 }
 
+/// The synthetic payload's word stream: successive splitmix64 outputs
+/// seeded from the key, one per 8 payload bytes.
+struct SyntheticWords(u64);
+
+impl SyntheticWords {
+    fn new(key: Key) -> Self {
+        SyntheticWords(key ^ 0x9E37_79B9_7F4A_7C15)
+    }
+
+    #[inline]
+    fn next_word(&mut self) -> u64 {
+        let w = mix64(self.0);
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        w
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Reference generator: one variable-length copy per 8-byte chunk,
+    /// written independently of the kernel, which must reproduce it
+    /// byte for byte.
+    fn reference_materialize(key: Key, out: &mut [u8]) {
+        let mut x = key ^ 0x9E37_79B9_7F4A_7C15;
+        for chunk in out.chunks_mut(8) {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let bytes = z.to_le_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
+    }
+
+    fn reference_bytes(key: Key, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        reference_materialize(key, &mut out);
+        out
+    }
+
+    const KEYS: [Key; 5] = [0, 1, 42, 0x9E37_79B9_7F4A_7C15, u64::MAX];
+
+    #[test]
+    fn synthetic_bytes_match_the_reference_at_every_short_length() {
+        for key in KEYS {
+            for len in 0..=300usize {
+                let v = Value::synthetic(len as u32);
+                assert_eq!(v.to_bytes(key), reference_bytes(key, len), "key {key} len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn synthetic_bytes_match_the_reference(key in any::<u64>(), len in 0usize..70 * 1024) {
+            let bytes = Value::synthetic(len as u32).to_bytes(key);
+            prop_assert!(bytes == reference_bytes(key, len), "key {key} len {len}");
+        }
+    }
+
+    #[test]
+    fn matches_accepts_exact_bytes_and_rejects_one_flipped_byte() {
+        for (key, len) in [(7u64, 100usize), (u64::MAX, 4096), (3, 13), (9, 8)] {
+            let v = Value::synthetic(len as u32);
+            let good = v.to_bytes(key);
+            assert!(v.matches(key, &good));
+            // Head, the first byte of the second word, and the last byte
+            // (inside the tail when `len % 8 != 0`).
+            for pos in [0, 8.min(len - 1), len - 1] {
+                let mut bad = good.clone();
+                bad[pos] ^= 0x40;
+                assert!(!v.matches(key, &bad), "flip at {pos} of {len} accepted");
+            }
+            assert!(!v.matches(key ^ 1, &good), "another key's bytes accepted");
+            assert!(!v.matches(key, &good[..len - 1]), "short read accepted");
+        }
+        assert!(Value::synthetic(0).matches(5, &[]));
+        let real = Value::real(vec![1u8, 2, 3]);
+        assert!(real.matches(0, &[1, 2, 3]));
+        assert!(!real.matches(0, &[1, 2, 4]));
+        assert!(!real.matches(0, &[1, 2]));
+    }
 
     #[test]
     fn real_value_round_trips() {
