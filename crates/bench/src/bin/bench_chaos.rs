@@ -11,7 +11,7 @@
 //! Replays every built-in [`fdpcache_workloads::ChaosStorm`] (phased
 //! fault schedules retuned at deterministic op boundaries) against the
 //! sharded pool twice each, then replays `storm_recover` across worker
-//! counts 1/4/8 × both service modes, and finally runs the
+//! counts 1/4/8, and finally runs the
 //! scrub-precedence scenario (scripted permanently-unreadable flash
 //! pages).
 //!
@@ -21,8 +21,7 @@
 //!   clocks, cache counters, injection totals, full breaker transition
 //!   traces, verification tally);
 //! * the topology matrix is **invariant**: the breaker opens and
-//!   re-closes at identical virtual times no matter the worker count
-//!   or service mode;
+//!   re-closes at identical virtual times no matter the worker count;
 //! * **zero lost acknowledged writes** everywhere — across breaker
 //!   open/close cycles, shed evictions and degraded serving;
 //! * error-storm scenarios actually open the breaker *and* re-close it
@@ -55,14 +54,13 @@ fn main() {
     let sweep = sweep_chaos(&cfg);
 
     let mut table = Table::new(vec![
-        "storm", "svc", "wk", "injected", "surfaced", "opens", "closes", "degraded", "shed",
-        "repairs", "acked", "verified", "lost", "det",
+        "storm", "wk", "injected", "surfaced", "opens", "closes", "degraded", "shed", "repairs",
+        "acked", "verified", "lost", "det",
     ])
     .numeric();
     let row = |table: &mut Table, r: &ChaosRunResult, det: bool| {
         table.row(vec![
             r.storm.clone(),
-            r.service.clone(),
             r.workers.to_string(),
             r.injected.total().to_string(),
             r.surfaced.to_string(),
@@ -177,9 +175,9 @@ fn main() {
         for r in sweep.storms.iter().map(|e| &e.first).chain(sweep.topology.iter()) {
             if r.lost > 0 {
                 eprintln!(
-                    "FAIL: {} ({}w/{}) lost {} acknowledged write(s) — degraded mode must \
+                    "FAIL: {} ({}w) lost {} acknowledged write(s) — degraded mode must \
                      never serve torn data",
-                    r.storm, r.workers, r.service, r.lost
+                    r.storm, r.workers, r.lost
                 );
                 failed = true;
             }
@@ -188,10 +186,9 @@ fn main() {
             for r in &sweep.topology[1..] {
                 if !base.matches(r) {
                     eprintln!(
-                        "FAIL: topology {}w/{} diverged from {}w/{} — breaker transitions \
-                         must land at identical virtual times for every worker count and \
-                         service mode",
-                        r.workers, r.service, base.workers, base.service
+                        "FAIL: topology {}w diverged from {}w — breaker transitions must \
+                         land at identical virtual times for every worker count",
+                        r.workers, base.workers
                     );
                     failed = true;
                 }

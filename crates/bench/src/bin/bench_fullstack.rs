@@ -47,7 +47,7 @@
 //!   flash misses, not read-path synchronization).
 
 use fdpcache_bench::{
-    emit_trajectory, json_destination, parse_count_flag, sweep_fullstack, sweep_read,
+    emit_trajectory, host_cores, json_destination, parse_count_flag, sweep_fullstack, sweep_read,
     FullstackConfig, ReadScalingConfig, TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
@@ -60,7 +60,7 @@ fn run_read_gate(args: &[String], check: bool, json_path: Option<String>) {
     parse_count_flag(args, "--ops", &mut cfg.ops_per_worker);
     parse_count_flag(args, "--trials", &mut trials);
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     eprintln!(
         "contended-read gate: device {} MiB, {} pool shards, {} DRAM-resident keys, \
          {} ops/worker, best of {trials} trial(s), {cores} host core(s)",
@@ -177,7 +177,7 @@ fn main() {
     parse_count_flag(&args, "--ops", &mut cfg.ops_per_worker);
     parse_count_flag(&args, "--trials", &mut trials);
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     eprintln!(
         "device {} MiB, RU {} MiB, {} pool shards, {} ops/worker, best of {trials} trial(s), \
          MemStore payloads, {cores} host core(s)",

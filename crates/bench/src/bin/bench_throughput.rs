@@ -28,8 +28,8 @@
 //! depth-1 pipeline to the legacy synchronous model.
 
 use fdpcache_bench::{
-    emit_trajectory, json_destination, parse_count_flag, qd_sweep, run_qd_replay, sweep,
-    ThroughputConfig, TrajectoryRecord,
+    emit_trajectory, host_cores, json_destination, parse_count_flag, qd_sweep, run_qd_replay,
+    sweep, ThroughputConfig, TrajectoryRecord,
 };
 use fdpcache_metrics::Table;
 
@@ -114,7 +114,7 @@ fn main() {
         return;
     }
 
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     eprintln!(
         "device {} MiB, RU {} MiB, {} ops/worker, best of {trials} trial(s), MemStore \
          payloads, {cores} host core(s)",

@@ -346,40 +346,6 @@ pub struct WallclockTrajectoryPoint {
     pub speedup_vs_ref: f64,
 }
 
-/// One point of a `bench_wallclock` reactor sweep: a `(service mode,
-/// queue depth, drivers, workers)` pool topology → real ops/s.
-#[derive(Debug, Clone, Serialize)]
-pub struct PoolWallclockTrajectoryPoint {
-    /// Workload profile label.
-    pub profile: String,
-    /// Service-mode label (`inline` / `reactor`).
-    pub service: String,
-    /// Device queue depth per shard.
-    pub queue_depth: usize,
-    /// Real driver threads partitioning the trace.
-    pub drivers: usize,
-    /// Reactor workers (0 on inline rows).
-    pub workers: usize,
-    /// Pool shards.
-    pub shards: usize,
-    /// Operations replayed.
-    pub ops: u64,
-    /// Wall-clock seconds for the run.
-    pub wall_secs: f64,
-    /// Thousands of ops per wall-clock second.
-    pub kops: f64,
-    /// Device payload bytes moved (written + read).
-    pub bytes_moved: u64,
-    /// Payload bandwidth in MiB per wall-clock second.
-    pub mib_per_sec: f64,
-    /// Final virtual clock frontier (ns) — identical across service
-    /// modes on single-driver rows.
-    pub now_ns: u64,
-    /// Wall-clock speedup vs the inline QD-1 single-driver row of the
-    /// same profile (1.0 on that baseline row).
-    pub speedup_vs_inline_qd1: f64,
-}
-
 /// One point of a `--read` contended-read trajectory.
 #[derive(Debug, Clone, Serialize)]
 pub struct ReadTrajectoryPoint {
@@ -466,19 +432,17 @@ pub struct RecoveryTrajectoryPoint {
 
 /// One chaos-storm row of a `bench_chaos` trajectory: storm-gate rows
 /// (first run of each determinism pair) followed by the
-/// topology-invariance rows (same storm across worker counts and
-/// service modes). Breaker transition traces are compared in-process;
+/// topology-invariance rows (same storm across worker counts).
+/// Breaker transition traces are compared in-process;
 /// the record keeps the flattened evidence.
 #[derive(Debug, Clone, Serialize)]
 pub struct ChaosTrajectoryPoint {
     /// Storm name (`storm_recover`, `busy_brownout`, ...).
     pub storm: String,
-    /// Service-mode label (`inline` / `reactor`).
-    pub service: String,
     /// Worker threads driving the partitioned streams.
     pub workers: usize,
     /// Largest per-shard virtual clock frontier (ns) — bit-identical
-    /// across reruns, worker counts and service modes.
+    /// across reruns and worker counts.
     pub now_ns: u64,
     /// Faults injected by the device's plan.
     pub injected: u64,
@@ -594,9 +558,6 @@ pub struct TrajectoryRecord {
     /// Wall-clock data-path points, slab and reference rows per
     /// profile (empty unless produced by `bench_wallclock`).
     pub wallclock_points: Vec<WallclockTrajectoryPoint>,
-    /// Reactor-sweep pool points, five service topologies per profile
-    /// (empty unless produced by `bench_wallclock`).
-    pub wallclock_pool_points: Vec<PoolWallclockTrajectoryPoint>,
     /// Fault-scenario points in gate order (empty unless produced by
     /// `bench_faults`).
     pub fault_points: Vec<FaultTrajectoryPoint>,
@@ -622,6 +583,28 @@ pub struct TrajectoryRecord {
 }
 
 impl TrajectoryRecord {
+    /// A record of `bench` with every sweep empty, for the
+    /// constructors below to fill in.
+    fn base(bench: &str, device_mib: u64, ops_per_worker: u64, trials: u64) -> Self {
+        TrajectoryRecord {
+            bench: bench.to_string(),
+            device_mib,
+            ops_per_worker,
+            trials,
+            host_cores: crate::host_cores(),
+            points: Vec::new(),
+            qd_points: Vec::new(),
+            wallclock_points: Vec::new(),
+            fault_points: Vec::new(),
+            read_points: Vec::new(),
+            recovery_points: Vec::new(),
+            chaos_points: Vec::new(),
+            chaos_precedence: None,
+            fleet_tenant_points: Vec::new(),
+            fleet_failover_points: Vec::new(),
+        }
+    }
+
     /// Builds a record from a sweep's results (first point = baseline).
     pub fn new(
         bench: &str,
@@ -632,11 +615,6 @@ impl TrajectoryRecord {
     ) -> Self {
         let base = results.first().map(|r| r.kops).unwrap_or(1.0).max(1e-9);
         TrajectoryRecord {
-            bench: bench.to_string(),
-            device_mib,
-            ops_per_worker,
-            trials,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             points: results
                 .iter()
                 .map(|r| TrajectoryPoint {
@@ -647,16 +625,7 @@ impl TrajectoryRecord {
                     speedup: r.kops / base,
                 })
                 .collect(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..TrajectoryRecord::base(bench, device_mib, ops_per_worker, trials)
         }
     }
 
@@ -669,12 +638,6 @@ impl TrajectoryRecord {
     ) -> Self {
         let base = results.first().map(|r| r.vkops).unwrap_or(1.0).max(1e-9);
         TrajectoryRecord {
-            bench: "device-qd".to_string(),
-            device_mib,
-            ops_per_worker,
-            trials: 1,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
             qd_points: results
                 .iter()
                 .map(|r| QdTrajectoryPoint {
@@ -686,29 +649,18 @@ impl TrajectoryRecord {
                     speedup: r.vkops / base,
                 })
                 .collect(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..TrajectoryRecord::base("device-qd", device_mib, ops_per_worker, 1)
         }
     }
 
     /// Builds a `wallclock` record from the slab-vs-reference sweep
     /// (two rows per profile, the slab row carrying its speedup over
-    /// the reference) and the reactor sweep (five service-topology
-    /// rows per profile, each carrying its speedup over the inline
-    /// QD-1 baseline).
+    /// the reference).
     pub fn new_wallclock(
         device_mib: u64,
         ops: u64,
         trials: u64,
         comparisons: &[crate::wallclock::WallclockComparison],
-        pool_sweeps: &[crate::wallclock::PoolProfileSweep],
     ) -> Self {
         let point =
             |r: &crate::wallclock::WallclockResult, speedup: f64| WallclockTrajectoryPoint {
@@ -722,45 +674,11 @@ impl TrajectoryRecord {
                 speedup_vs_ref: speedup,
             };
         TrajectoryRecord {
-            bench: "wallclock".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
             wallclock_points: comparisons
                 .iter()
                 .flat_map(|c| [point(&c.slab, c.speedup()), point(&c.hash_ref, 1.0)])
                 .collect(),
-            wallclock_pool_points: pool_sweeps
-                .iter()
-                .flat_map(|s| {
-                    let base = s.baseline().kops.max(1e-9);
-                    s.points.iter().map(move |p| PoolWallclockTrajectoryPoint {
-                        profile: p.profile.clone(),
-                        service: p.mode.clone(),
-                        queue_depth: p.queue_depth,
-                        drivers: p.drivers,
-                        workers: p.workers,
-                        shards: p.shards,
-                        ops: p.ops,
-                        wall_secs: p.wall_secs,
-                        kops: p.kops,
-                        bytes_moved: p.bytes_moved,
-                        mib_per_sec: p.mib_per_sec,
-                        now_ns: p.now_ns,
-                        speedup_vs_inline_qd1: p.kops / base,
-                    })
-                })
-                .collect(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..TrajectoryRecord::base("wallclock", device_mib, ops, trials)
         }
     }
 
@@ -772,15 +690,6 @@ impl TrajectoryRecord {
         entries: &[crate::faults::FaultSweepEntry],
     ) -> Self {
         TrajectoryRecord {
-            bench: "faults".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
             fault_points: entries
                 .iter()
                 .map(|e| FaultTrajectoryPoint {
@@ -798,12 +707,7 @@ impl TrajectoryRecord {
                     deterministic: e.deterministic(),
                 })
                 .collect(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..TrajectoryRecord::base("faults", device_mib, ops, 2)
         }
     }
 
@@ -824,16 +728,6 @@ impl TrajectoryRecord {
             .unwrap_or(1.0)
             .max(1e-9);
         TrajectoryRecord {
-            bench: "fullstack-read".to_string(),
-            device_mib,
-            ops_per_worker,
-            trials,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
             read_points: results
                 .iter()
                 .map(|r| ReadTrajectoryPoint {
@@ -846,11 +740,7 @@ impl TrajectoryRecord {
                     speedup: r.kops / base,
                 })
                 .collect(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..TrajectoryRecord::base("fullstack-read", device_mib, ops_per_worker, trials)
         }
     }
 
@@ -862,17 +752,6 @@ impl TrajectoryRecord {
         entries: &[crate::recovery::RecoverySweepEntry],
     ) -> Self {
         TrajectoryRecord {
-            bench: "recovery".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
             recovery_points: entries
                 .iter()
                 .map(|e| RecoveryTrajectoryPoint {
@@ -892,10 +771,7 @@ impl TrajectoryRecord {
                     deterministic: e.deterministic(),
                 })
                 .collect(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..TrajectoryRecord::base("recovery", device_mib, ops, 2)
         }
     }
 
@@ -905,7 +781,6 @@ impl TrajectoryRecord {
     pub fn new_chaos(device_mib: u64, ops: u64, sweep: &crate::chaos::ChaosSweep) -> Self {
         let point = |r: &crate::chaos::ChaosRunResult, deterministic: bool| ChaosTrajectoryPoint {
             storm: r.storm.clone(),
-            service: r.service.clone(),
             workers: r.workers,
             now_ns: r.shard_now_ns.iter().copied().max().unwrap_or(0),
             injected: r.injected.total(),
@@ -932,22 +807,9 @@ impl TrajectoryRecord {
                 .map(|r| point(r, baseline.map(|b| b.matches(r)).unwrap_or(false))),
         );
         TrajectoryRecord {
-            bench: "chaos".to_string(),
-            device_mib,
-            ops_per_worker: ops,
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
             chaos_points,
             chaos_precedence: Some(sweep.precedence.clone()),
-            fleet_tenant_points: Vec::new(),
-            fleet_failover_points: Vec::new(),
+            ..TrajectoryRecord::base("chaos", device_mib, ops, 2)
         }
     }
 
@@ -990,22 +852,14 @@ impl TrajectoryRecord {
             deterministic: f.matches(&sweep.failover_rerun),
         }];
         TrajectoryRecord {
-            bench: "fleet".to_string(),
-            device_mib,
-            ops_per_worker: base.summaries.iter().map(|s| s.admitted + s.shed).sum(),
-            trials: 2,
-            host_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            points: Vec::new(),
-            qd_points: Vec::new(),
-            wallclock_points: Vec::new(),
-            wallclock_pool_points: Vec::new(),
-            fault_points: Vec::new(),
-            read_points: Vec::new(),
-            recovery_points: Vec::new(),
-            chaos_points: Vec::new(),
-            chaos_precedence: None,
             fleet_tenant_points,
             fleet_failover_points,
+            ..TrajectoryRecord::base(
+                "fleet",
+                device_mib,
+                base.summaries.iter().map(|s| s.admitted + s.shed).sum(),
+                2,
+            )
         }
     }
 

@@ -559,6 +559,12 @@ pub fn run_multitenant_concurrent(
     })
 }
 
+/// Host cores visible to this process (1 if the count is unknown):
+/// the bound every wall-clock scaling gate adapts its bar to.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
 /// Parses a `--flag N` positive-integer argument into `target`
 /// (shared by the benchmark binaries). Exits with status 2 and a
 /// message on a missing or non-positive value; leaves `target`

@@ -30,9 +30,9 @@ pub use fleet::{
 pub use fullstack::{
     emit_trajectory, run_fullstack, run_read_contended, sweep_fullstack, sweep_read,
     ChaosTrajectoryPoint, FaultTrajectoryPoint, FleetFailoverTrajectoryPoint,
-    FleetTenantTrajectoryPoint, FullstackConfig, PoolWallclockTrajectoryPoint, QdTrajectoryPoint,
-    ReadScalingConfig, ReadScalingResult, ReadTrajectoryPoint, RecoveryTrajectoryPoint,
-    TrajectoryPoint, TrajectoryRecord, WallclockTrajectoryPoint,
+    FleetTenantTrajectoryPoint, FullstackConfig, QdTrajectoryPoint, ReadScalingConfig,
+    ReadScalingResult, ReadTrajectoryPoint, RecoveryTrajectoryPoint, TrajectoryPoint,
+    TrajectoryRecord, WallclockTrajectoryPoint,
 };
 pub use harness::*;
 pub use recovery::{
@@ -43,7 +43,6 @@ pub use throughput::{
     qd_sweep, run_qd_replay, run_throughput, sweep, QdResult, ThroughputConfig, ThroughputResult,
 };
 pub use wallclock::{
-    run_wallclock, run_wallclock_pool, sweep_wallclock, sweep_wallclock_reactor, PoolPointSpec,
-    PoolProfileSweep, PoolWallclockResult, WallclockComparison, WallclockConfig, WallclockProfile,
-    WallclockResult, WallclockStore, REACTOR_SHARDS,
+    run_wallclock, sweep_wallclock, WallclockComparison, WallclockConfig, WallclockProfile,
+    WallclockResult, WallclockStore,
 };

@@ -29,8 +29,8 @@ use std::time::Instant;
 
 use fdpcache_cache::builder::{build_cache, create_namespace};
 use fdpcache_cache::value::Value;
-use fdpcache_cache::{CacheConfig, CacheError, ConcurrentPool, HybridCache, NvmConfig};
-use fdpcache_core::{IoStats, RoundRobinPolicy, ServiceMode, SharedController};
+use fdpcache_cache::{CacheConfig, CacheError, HybridCache, NvmConfig};
+use fdpcache_core::{RoundRobinPolicy, SharedController};
 use fdpcache_ftl::FtlConfig;
 use fdpcache_nvme::{Controller, DataStore, HashStore, MemStore};
 use fdpcache_workloads::trace::Op;
@@ -399,416 +399,6 @@ pub fn sweep_wallclock(
         .collect()
 }
 
-/// Shards (= namespaces = max concurrent drivers) of every pool
-/// wall-clock point. Four shards is the smallest topology where the
-/// reactor's cross-shard overlap is unmistakable.
-pub const REACTOR_SHARDS: usize = 4;
-
-/// One point of the reactor sweep: a service mode + queue depth +
-/// driver thread count over the standard [`REACTOR_SHARDS`]-shard pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolPointSpec {
-    /// Where device service executes.
-    pub mode: ServiceMode,
-    /// Device queue depth per shard.
-    pub queue_depth: usize,
-    /// Real driver threads partitioning the trace (each owns
-    /// `shards / drivers` shards).
-    pub drivers: usize,
-}
-
-impl PoolPointSpec {
-    /// Reactor worker count of this point (0 when inline).
-    pub fn workers(&self) -> usize {
-        match self.mode {
-            ServiceMode::Inline => 0,
-            ServiceMode::Reactor { workers } => workers,
-        }
-    }
-}
-
-/// The reactor sweep's point set, shared by the bench table and the
-/// `--check` gate:
-///
-/// 0. inline · QD 1 · 1 driver — the wall-clock baseline the gate's
-///    speedup is measured against;
-/// 1. inline · QD 4 · 1 driver — the QD-4 virtual-time reference;
-/// 2. reactor (4 workers) · QD 4 · 1 driver — the mode pair of point
-///    1: same topology, only the service placement differs, so the
-///    virtual clocks must be byte-identical;
-/// 3. reactor (1 worker) · QD 4 · 4 drivers — overlapped submission
-///    with serialized service, the worker-count pair of point 4;
-/// 4. reactor (4 workers) · QD 4 · 4 drivers — the tentpole point:
-///    four shards' slab work genuinely overlapped in wall-clock.
-pub fn reactor_points() -> Vec<PoolPointSpec> {
-    vec![
-        PoolPointSpec { mode: ServiceMode::Inline, queue_depth: 1, drivers: 1 },
-        PoolPointSpec { mode: ServiceMode::Inline, queue_depth: 4, drivers: 1 },
-        PoolPointSpec { mode: ServiceMode::Reactor { workers: 4 }, queue_depth: 4, drivers: 1 },
-        PoolPointSpec {
-            mode: ServiceMode::Reactor { workers: 1 },
-            queue_depth: 4,
-            drivers: REACTOR_SHARDS,
-        },
-        PoolPointSpec {
-            mode: ServiceMode::Reactor { workers: 4 },
-            queue_depth: 4,
-            drivers: REACTOR_SHARDS,
-        },
-    ]
-}
-
-/// One pool wall-clock measurement (a [`PoolPointSpec`] realized).
-#[derive(Debug, Clone)]
-pub struct PoolWallclockResult {
-    /// Profile label.
-    pub profile: String,
-    /// Service-mode label (`inline` / `reactor`).
-    pub mode: String,
-    /// Device queue depth per shard.
-    pub queue_depth: usize,
-    /// Driver threads.
-    pub drivers: usize,
-    /// Reactor workers (0 when inline).
-    pub workers: usize,
-    /// Pool shards.
-    pub shards: usize,
-    /// Operations executed (the full trace, however many drivers).
-    pub ops: u64,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
-    /// Thousands of ops per wall-clock second.
-    pub kops: f64,
-    /// Device payload bytes moved (written + read).
-    pub bytes_moved: u64,
-    /// Payload bandwidth in MiB per wall-clock second.
-    pub mib_per_sec: f64,
-    /// Final virtual-time frontier across shards (ns).
-    pub now_ns: u64,
-    /// Aggregated per-shard I/O stats, virtual view (reactor wall-
-    /// clock counters zeroed) — must be byte-identical across service
-    /// modes at equal queue depth.
-    pub io: IoStats,
-}
-
-impl PoolWallclockResult {
-    /// One-line machine-readable form for the child-process protocol
-    /// (`bench_wallclock --pool`).
-    pub fn record_line(&self) -> String {
-        format!(
-            "WCPOOL {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            self.profile,
-            self.mode,
-            self.queue_depth,
-            self.drivers,
-            self.workers,
-            self.shards,
-            self.ops,
-            self.wall_secs,
-            self.kops,
-            self.bytes_moved,
-            self.mib_per_sec,
-            self.now_ns,
-            self.io.writes,
-            self.io.reads,
-            self.io.discards,
-            self.io.bytes_written,
-            self.io.bytes_read,
-            self.io.bytes_discarded,
-            self.io.faults,
-        )
-    }
-
-    /// Parses a [`PoolWallclockResult::record_line`], ignoring
-    /// unrelated lines.
-    pub fn parse_record_line(line: &str) -> Option<PoolWallclockResult> {
-        let mut it = line.split_whitespace();
-        if it.next()? != "WCPOOL" {
-            return None;
-        }
-        Some(PoolWallclockResult {
-            profile: it.next()?.to_string(),
-            mode: it.next()?.to_string(),
-            queue_depth: it.next()?.parse().ok()?,
-            drivers: it.next()?.parse().ok()?,
-            workers: it.next()?.parse().ok()?,
-            shards: it.next()?.parse().ok()?,
-            ops: it.next()?.parse().ok()?,
-            wall_secs: it.next()?.parse().ok()?,
-            kops: it.next()?.parse().ok()?,
-            bytes_moved: it.next()?.parse().ok()?,
-            mib_per_sec: it.next()?.parse().ok()?,
-            now_ns: it.next()?.parse().ok()?,
-            io: IoStats {
-                writes: it.next()?.parse().ok()?,
-                reads: it.next()?.parse().ok()?,
-                discards: it.next()?.parse().ok()?,
-                bytes_written: it.next()?.parse().ok()?,
-                bytes_read: it.next()?.parse().ok()?,
-                bytes_discarded: it.next()?.parse().ok()?,
-                faults: it.next()?.parse().ok()?,
-                ..IoStats::default()
-            },
-        })
-    }
-
-    /// Whether `other` replayed to byte-identical virtual time: same
-    /// clock frontier and same virtual I/O stats. Meaningful between
-    /// points at equal queue depth.
-    pub fn virtual_time_matches(&self, other: &PoolWallclockResult) -> bool {
-        self.now_ns == other.now_ns && self.io == other.io
-    }
-}
-
-/// Replays `cfg.ops` operations of `profile` over a
-/// [`REACTOR_SHARDS`]-shard slab-backed [`ConcurrentPool`] under the
-/// given point spec and measures real throughput. Drivers partition
-/// the trace exactly like the pool replayer's partitioned mode: each
-/// driver walks an identical generator stream and executes the
-/// requests whose shard it owns, so per-shard request sequences — and
-/// therefore every virtual I/O counter — are independent of the
-/// driver count. (The device clock *frontier* is only deterministic
-/// for single-driver points; see
-/// [`PoolProfileSweep::virtual_time_consistent`].)
-///
-/// # Panics
-///
-/// Panics if the replay hits a device error.
-pub fn run_wallclock_pool(
-    cfg: &WallclockConfig,
-    profile: &WallclockProfile,
-    spec: PoolPointSpec,
-) -> PoolWallclockResult {
-    let ctrl = Controller::new(cfg.ftl_config(), Box::new(MemStore::new()))
-        .expect("pool wallclock device");
-    ctrl.set_fdp_enabled(true);
-    let ctrl: SharedController = Arc::new(ctrl);
-    let pool = ConcurrentPool::new(&ctrl, &cfg.cache_config(), REACTOR_SHARDS, 0.9, || {
-        Box::new(RoundRobinPolicy::new())
-    })
-    .expect("pool");
-    pool.set_queue_depth(spec.queue_depth);
-    pool.set_service_mode(spec.mode);
-    let drivers = spec.drivers.max(1);
-    let d0 = ctrl.device_io_stats();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for idx in 0..drivers {
-            let pool = &pool;
-            let workload = &profile.workload;
-            scope.spawn(move || {
-                let mut gen = workload.generator(20_000, cfg.seed);
-                let mut values = std::collections::HashMap::new();
-                for _ in 0..cfg.ops {
-                    let req = gen.next_request();
-                    if pool.shard_of(req.key) % drivers != idx {
-                        continue;
-                    }
-                    match req.op {
-                        Op::Get => {
-                            pool.get(req.key).expect("get");
-                        }
-                        Op::Set => match pool.put(req.key, pooled_value(&mut values, req.size)) {
-                            Ok(()) | Err(CacheError::ObjectTooLarge { .. }) => {}
-                            Err(e) => panic!("put failed: {e}"),
-                        },
-                        Op::Delete => {
-                            pool.delete(req.key).expect("delete");
-                        }
-                    }
-                }
-            });
-        }
-    });
-    pool.drain_io();
-    let wall_secs = start.elapsed().as_secs_f64().max(1e-9);
-    let d = ctrl.device_io_stats();
-    let bytes_moved = (d.bytes_written - d0.bytes_written) + (d.bytes_read - d0.bytes_read);
-    ctrl.with_ftl(|f| f.check_invariants());
-    PoolWallclockResult {
-        profile: profile.label.to_string(),
-        mode: spec.mode.label().to_string(),
-        queue_depth: spec.queue_depth,
-        drivers,
-        workers: spec.workers(),
-        shards: REACTOR_SHARDS,
-        ops: cfg.ops,
-        wall_secs,
-        kops: cfg.ops as f64 / wall_secs / 1e3,
-        bytes_moved,
-        mib_per_sec: bytes_moved as f64 / wall_secs / (1 << 20) as f64,
-        now_ns: pool.now_ns(),
-        io: pool.io_stats().virtual_view(),
-    }
-}
-
-/// Runs one pool measurement in a fresh child process by re-invoking
-/// the current executable with `--pool <profile> <mode> <qd>
-/// <drivers> <workers> <device_mib> <ru_mib> <ops> <seed>`.
-///
-/// # Errors
-///
-/// The reason the child could not be spawned, failed, or emitted no
-/// record.
-pub fn run_wallclock_pool_isolated(
-    cfg: &WallclockConfig,
-    profile: &WallclockProfile,
-    spec: PoolPointSpec,
-) -> Result<PoolWallclockResult, String> {
-    let out = std::env::current_exe().map_err(|e| e.to_string()).and_then(|exe| {
-        std::process::Command::new(exe)
-            .args([
-                "--pool",
-                profile.label,
-                spec.mode.label(),
-                &spec.queue_depth.to_string(),
-                &spec.drivers.to_string(),
-                &spec.workers().to_string(),
-                &cfg.device_mib.to_string(),
-                &cfg.ru_mib.to_string(),
-                &cfg.ops.to_string(),
-                &cfg.seed.to_string(),
-            ])
-            .output()
-            .map_err(|e| e.to_string())
-    })?;
-    if !out.status.success() {
-        return Err(format!(
-            "child pool run exited with {}: {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr)
-        ));
-    }
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .find_map(PoolWallclockResult::parse_record_line)
-        .ok_or_else(|| "child run emitted no WCPOOL record".to_string())
-}
-
-/// One profile's realized reactor sweep, points in
-/// [`reactor_points`] order.
-#[derive(Debug, Clone)]
-pub struct PoolProfileSweep {
-    /// Profile label.
-    pub profile: String,
-    /// Measurements, one per [`reactor_points`] entry.
-    pub points: Vec<PoolWallclockResult>,
-}
-
-impl PoolProfileSweep {
-    /// The inline QD-1 single-driver baseline (point 0).
-    pub fn baseline(&self) -> &PoolWallclockResult {
-        &self.points[0]
-    }
-
-    /// The tentpole reactor point (4 workers, 4 drivers; the last).
-    pub fn reactor_best(&self) -> &PoolWallclockResult {
-        self.points.last().expect("sweep points")
-    }
-
-    /// Wall-clock ops/s speedup of the tentpole reactor point over the
-    /// inline QD-1 baseline.
-    pub fn reactor_speedup(&self) -> f64 {
-        self.reactor_best().kops / self.baseline().kops.max(1e-9)
-    }
-
-    /// Checks the sweep's determinism claims:
-    ///
-    /// * single-driver points at equal queue depth must replay to
-    ///   byte-identical virtual time (clock frontier + I/O stats) —
-    ///   the service mode and the reactor worker count are invisible
-    ///   to virtual time;
-    /// * every other equal-queue-depth pair must still agree on every
-    ///   virtual I/O counter. Only the clock frontier may differ when
-    ///   a multi-driver point is involved: the device clock advances
-    ///   in cross-shard arrival order, and which shard's command
-    ///   arrives first is a property of the racing drivers' OS
-    ///   interleaving, not of the service mode or worker count.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first diverging pair.
-    pub fn virtual_time_consistent(&self) -> Result<(), String> {
-        for (i, a) in self.points.iter().enumerate() {
-            for b in self.points.iter().skip(i + 1) {
-                if a.queue_depth != b.queue_depth {
-                    continue;
-                }
-                let matches = if a.drivers == 1 && b.drivers == 1 {
-                    a.virtual_time_matches(b)
-                } else {
-                    a.io == b.io
-                };
-                if !matches {
-                    return Err(format!(
-                        "{}: virtual time diverged between {}/qd{}/d{}/w{} \
-                         (now={} io={:?}) and {}/qd{}/d{}/w{} (now={} io={:?})",
-                        self.profile,
-                        a.mode,
-                        a.queue_depth,
-                        a.drivers,
-                        a.workers,
-                        a.now_ns,
-                        a.io,
-                        b.mode,
-                        b.queue_depth,
-                        b.drivers,
-                        b.workers,
-                        b.now_ns,
-                        b.io,
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Runs the reactor sweep: every standard profile × every
-/// [`reactor_points`] spec, best of `trials` runs per point.
-///
-/// # Panics
-///
-/// Panics if any replay hits a device error, or — in
-/// [`RunMode::IsolatedStrict`] — if a measurement cannot run in an
-/// isolated child process.
-pub fn sweep_wallclock_reactor(
-    cfg: &WallclockConfig,
-    trials: u64,
-    mode: RunMode,
-) -> Vec<PoolProfileSweep> {
-    let one = |profile: &WallclockProfile, spec: PoolPointSpec| match mode {
-        RunMode::InProcess => run_wallclock_pool(cfg, profile, spec),
-        RunMode::Isolated => run_wallclock_pool_isolated(cfg, profile, spec).unwrap_or_else(|e| {
-            eprintln!("note: cannot isolate pool run ({e}); measuring in-process");
-            run_wallclock_pool(cfg, profile, spec)
-        }),
-        RunMode::IsolatedStrict => {
-            run_wallclock_pool_isolated(cfg, profile, spec).unwrap_or_else(|e| {
-                panic!(
-                    "cannot isolate pool measurement in a child process ({e}); \
-                     a --check gate must not compare warm in-process runs"
-                )
-            })
-        }
-    };
-    WallclockProfile::standard()
-        .iter()
-        .map(|p| PoolProfileSweep {
-            profile: p.label.to_string(),
-            points: reactor_points()
-                .into_iter()
-                .map(|spec| {
-                    (0..trials.max(1))
-                        .map(|_| one(p, spec))
-                        .max_by(|a, b| a.kops.total_cmp(&b.kops))
-                        .expect("at least one trial")
-                })
-                .collect(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,64 +433,23 @@ mod tests {
     }
 
     #[test]
-    fn pool_point_completes_and_counts_every_op() {
-        let cfg = tiny();
-        let spec = PoolPointSpec {
-            mode: ServiceMode::Reactor { workers: 2 },
-            queue_depth: 4,
-            drivers: REACTOR_SHARDS,
-        };
-        let r = run_wallclock_pool(&cfg, &WallclockProfile::loc_seal_heavy(), spec);
-        assert_eq!(r.ops, 3_000);
-        assert_eq!(r.drivers, REACTOR_SHARDS);
-        assert_eq!(r.workers, 2);
-        assert_eq!(r.mode, "reactor");
-        assert!(r.kops > 0.0);
-        assert!(r.bytes_moved > 0, "seal-heavy pool replay must move payload bytes");
-        assert_eq!(
-            r.io.reactor,
-            fdpcache_core::ReactorIoStats::default(),
-            "virtual view must zero the reactor wall-clock counters"
-        );
-    }
-
-    #[test]
-    fn pool_points_replay_to_identical_virtual_time_across_modes_and_drivers() {
-        let cfg = tiny();
-        for profile in WallclockProfile::standard() {
-            let sweep = PoolProfileSweep {
-                profile: profile.label.to_string(),
-                points: reactor_points()
-                    .into_iter()
-                    .map(|spec| run_wallclock_pool(&cfg, &profile, spec))
-                    .collect(),
-            };
-            sweep.virtual_time_consistent().unwrap_or_else(|e| panic!("{e}"));
-            // QD 1 vs QD 4 *should* differ in virtual time (device
-            // overlap changes the clock) — guard against the identity
-            // check passing vacuously because everything is equal.
-            assert_ne!(
-                sweep.points[0].now_ns, sweep.points[1].now_ns,
-                "{}: QD 1 and QD 4 produced the same virtual clock; \
-                 the identity gate would be vacuous",
-                profile.label
-            );
-        }
-    }
-
-    #[test]
-    fn pool_record_line_roundtrips() {
-        let cfg = tiny();
-        let spec = reactor_points()[3];
-        let r = run_wallclock_pool(&cfg, &WallclockProfile::read_heavy(), spec);
-        let parsed = PoolWallclockResult::parse_record_line(&r.record_line()).expect("parse");
+    fn record_line_roundtrips() {
+        let r = run_wallclock(&tiny(), &WallclockProfile::read_heavy(), WallclockStore::HashRef);
+        let parsed = WallclockResult::parse_record_line(&r.record_line()).expect("parse");
         assert_eq!(parsed.profile, r.profile);
-        assert_eq!(parsed.mode, r.mode);
-        assert_eq!(parsed.queue_depth, r.queue_depth);
-        assert_eq!(parsed.drivers, r.drivers);
-        assert_eq!(parsed.workers, r.workers);
+        assert_eq!(parsed.store, r.store);
+        assert_eq!(parsed.ops, r.ops);
+        assert_eq!(parsed.wall_secs, r.wall_secs);
+        assert_eq!(parsed.kops, r.kops);
+        assert_eq!(parsed.bytes_moved, r.bytes_moved);
+        assert_eq!(parsed.mib_per_sec, r.mib_per_sec);
         assert_eq!(parsed.now_ns, r.now_ns);
-        assert!(parsed.virtual_time_matches(&r), "virtual stats must survive the round-trip");
-        assert!(PoolWallclockResult::parse_record_line("WALLCLOCK x y 1").is_none());
+        // Unrelated output, a truncated record and a non-numeric field
+        // are all rejected.
+        assert!(WallclockResult::parse_record_line("note: warming up").is_none());
+        assert!(WallclockResult::parse_record_line("WALLCLOCK x y 1").is_none());
+        let line = r.record_line();
+        let (head, _) = line.rsplit_once(' ').expect("multi-field record");
+        assert!(WallclockResult::parse_record_line(&format!("{head} soon")).is_none());
     }
 }

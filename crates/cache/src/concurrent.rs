@@ -52,7 +52,7 @@
 
 use std::sync::Arc;
 
-use fdpcache_core::{IoStats, PlacementPolicy, ServiceMode, SharedController};
+use fdpcache_core::{IoStats, PlacementPolicy, SharedController};
 use fdpcache_metrics::Histogram;
 use parking_lot::Mutex;
 
@@ -237,18 +237,6 @@ impl ConcurrentPool {
     pub fn set_queue_depth(&self, depth: usize) {
         for s in &self.shards {
             s.cache.lock().set_queue_depth(depth);
-        }
-    }
-
-    /// Reconfigures where every shard's device service executes.
-    /// [`ServiceMode::Reactor`] ships each shard's slab reads/writes,
-    /// seals and discards to the device's shared completion reactor,
-    /// overlapping their wall-clock device time across shards while
-    /// each shard's virtual clock replays bit-identically to
-    /// [`ServiceMode::Inline`].
-    pub fn set_service_mode(&self, mode: ServiceMode) {
-        for s in &self.shards {
-            s.cache.lock().set_service_mode(mode);
         }
     }
 

@@ -45,12 +45,10 @@ use std::sync::Arc;
 
 use fdpcache_metrics::Histogram;
 use fdpcache_nvme::{
-    BatchWrite, Controller, DeallocRange, HealthMonitor, IoReactor, NamespaceId, NamespaceState,
-    NvmeError, QueuePair,
+    BatchWrite, Controller, DeallocRange, HealthMonitor, NamespaceId, NamespaceState, NvmeError,
+    QueuePair, WriteCompletion,
 };
-pub use fdpcache_nvme::{
-    HealthConfig, HealthIoStats, HealthState, HealthTransition, ReactorIoStats, ServiceMode,
-};
+pub use fdpcache_nvme::{HealthConfig, HealthIoStats, HealthState, HealthTransition};
 
 use crate::handle::PlacementHandle;
 
@@ -110,13 +108,8 @@ pub struct IoStats {
     /// (media error / busy rejection). Not counted in
     /// `writes`/`reads`/`discards`, which track successes only.
     pub faults: u64,
-    /// Completion-reactor counters for this manager's submissions
-    /// (all zero in [`ServiceMode::Inline`]). `parked_ns` and
-    /// `ring_full_waits` are wall-clock observations, so determinism
-    /// comparisons must use [`IoStats::virtual_view`].
-    pub reactor: ReactorIoStats,
     /// Device-health view from this manager's windowed monitor
-    /// (virtual-time, so deterministic across service modes; merged
+    /// (virtual-time, so deterministic across worker counts; merged
     /// snapshots take the worst `state` across shards).
     pub health: HealthIoStats,
 }
@@ -133,18 +126,8 @@ impl IoStats {
             bytes_read: self.bytes_read + other.bytes_read,
             bytes_discarded: self.bytes_discarded + other.bytes_discarded,
             faults: self.faults + other.faults,
-            reactor: self.reactor.merge(&other.reactor),
             health: self.health.merge(&other.health),
         }
-    }
-
-    /// The deterministic, virtual-time slice of this snapshot: every
-    /// field except the reactor counters, which record wall-clock
-    /// behaviour (parked time, backpressure) and differ between
-    /// service modes by construction. Bit-identity assertions across
-    /// [`ServiceMode`]s, worker counts and reruns compare this view.
-    pub fn virtual_view(&self) -> IoStats {
-        IoStats { reactor: ReactorIoStats::default(), ..*self }
     }
 }
 
@@ -206,30 +189,6 @@ impl<'a> IoBatch<'a> {
     }
 }
 
-/// Runs one device-service closure in the configured mode: inline on
-/// the calling thread, or shipped to the device's completion reactor
-/// while the caller parks on its completion gate. The closure's
-/// return value — and therefore every virtual-time observation
-/// derived from it — is identical either way; only wall-clock
-/// placement (and the reactor telemetry folded into `stats`) differs.
-fn serviced<R, F>(reactor: Option<&IoReactor>, stats: &mut ReactorIoStats, f: F) -> R
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    match reactor {
-        None => f(),
-        Some(rx) => {
-            let (r, telemetry) = rx.execute(f);
-            stats.submissions += 1;
-            stats.completions += 1;
-            stats.ring_full_waits += telemetry.ring_full_waits;
-            stats.parked_ns += telemetry.parked_ns;
-            r
-        }
-    }
-}
-
 /// Per-worker FDP-aware I/O path.
 ///
 /// All blocks are namespace-relative; sizes are whole logical blocks.
@@ -246,11 +205,6 @@ pub struct IoManager {
     retains_data: bool,
     lanes: usize,
     queue_depth: usize,
-    /// Where device service executes ([`ServiceMode::Inline`] by
-    /// default). In reactor mode `reactor` holds the device's shared
-    /// [`IoReactor`].
-    service_mode: ServiceMode,
-    reactor: Option<Arc<IoReactor>>,
     /// Outstanding GC media work (ns) not yet charged to the lanes.
     /// Real controllers interleave relocation with host commands; we
     /// drain this backlog a slice at a time alongside each submission,
@@ -259,7 +213,7 @@ pub struct IoManager {
     /// Per-shard device-health monitor: fed from every completed
     /// command (successes and injected failures) with virtual-time
     /// stamps, so its classification replays bit-identically across
-    /// service modes, worker counts and reruns.
+    /// worker counts and reruns.
     health: HealthMonitor,
 }
 
@@ -268,7 +222,6 @@ impl std::fmt::Debug for IoManager {
         f.debug_struct("IoManager")
             .field("nsid", &self.ns.nsid())
             .field("queue_depth", &self.queue_depth)
-            .field("service_mode", &self.service_mode)
             .field("stats", &self.stats)
             .finish()
     }
@@ -302,8 +255,6 @@ impl IoManager {
             block_bytes,
             blocks,
             retains_data,
-            service_mode: ServiceMode::Inline,
-            reactor: None,
             gc_backlog_ns: 0,
             health: HealthMonitor::default(),
         })
@@ -380,6 +331,54 @@ impl IoManager {
             _ => self.health.record_error(now),
         }
         e
+    }
+
+    /// Device service for [`IoManager::submit_batch`] (its phases 1-3):
+    /// returns the write completions and read service times in queue
+    /// order, with no timing side effect on this manager.
+    fn service_batch(
+        &self,
+        ops: &mut [BatchOp<'_>],
+    ) -> Result<(Vec<WriteCompletion>, Vec<u64>), NvmeError> {
+        // Phase 1: vectored write mapping under one media-lock hold.
+        let write_completions = {
+            let writes: Vec<BatchWrite<'_>> = ops
+                .iter()
+                .filter_map(|op| match op {
+                    BatchOp::Write { block, data, handle } => {
+                        Some(BatchWrite { slba: *block, data, dspec: handle.dspec() })
+                    }
+                    _ => None,
+                })
+                .collect();
+            if writes.is_empty() {
+                Vec::new()
+            } else {
+                self.ctrl.write_batch_ns(&self.ns, &writes)?
+            }
+        };
+        // Phase 2: reads (mapping check under the media lock per
+        // command, payload loads outside it).
+        let mut read_services = Vec::new();
+        for op in ops.iter_mut() {
+            if let BatchOp::Read { block, out } = op {
+                read_services.push(self.ctrl.read_ns(&self.ns, *block, out)?);
+            }
+        }
+        // Phase 3: one vectored DSM deallocate for every discard.
+        let ranges: Vec<DeallocRange> = ops
+            .iter()
+            .filter_map(|op| match op {
+                BatchOp::Discard { block, count } => {
+                    Some(DeallocRange { slba: *block, nlb: *count })
+                }
+                _ => None,
+            })
+            .collect();
+        if !ranges.is_empty() {
+            self.ctrl.deallocate_ns(&self.ns, &ranges)?;
+        }
+        Ok((write_completions, read_services))
     }
 
     /// Namespace capacity in logical blocks.
@@ -483,28 +482,6 @@ impl IoManager {
         self.qp.set_depth(self.queue_depth);
     }
 
-    /// The configured service mode.
-    pub fn service_mode(&self) -> ServiceMode {
-        self.service_mode
-    }
-
-    /// Reconfigures where device service executes.
-    /// [`ServiceMode::Inline`] (the default) runs the controller call
-    /// on this thread inside the caller's critical section — the
-    /// bit-identical legacy path. [`ServiceMode::Reactor`] ships each
-    /// service closure to the device's completion reactor (created on
-    /// first use with the requested worker count; one reactor per
-    /// device) and parks this thread until the completion is
-    /// published, so independent shards overlap the real memcpy/slab
-    /// work in wall-clock while replaying identical virtual clocks.
-    pub fn set_service_mode(&mut self, mode: ServiceMode) {
-        self.service_mode = mode;
-        self.reactor = match mode {
-            ServiceMode::Inline => None,
-            ServiceMode::Reactor { workers } => Some(self.ctrl.reactor(workers)),
-        };
-    }
-
     /// Reaps every outstanding completion, advancing the virtual clock
     /// past the last one. A no-op at queue depth 1.
     pub fn flush(&mut self) {
@@ -529,10 +506,7 @@ impl IoManager {
         handle: PlacementHandle,
     ) -> Result<u64, NvmeError> {
         let dspec = handle.dspec();
-        let serviced_write = serviced(self.reactor.as_deref(), &mut self.stats.reactor, || {
-            self.ctrl.write_ns(&self.ns, block, data, dspec)
-        });
-        let completion = match serviced_write {
+        let completion = match self.ctrl.write_ns(&self.ns, block, data, dspec) {
             Ok(c) => c,
             Err(e) => return Err(self.fail_command(e)),
         };
@@ -557,10 +531,7 @@ impl IoManager {
     ///
     /// Propagates controller validation/FTL errors.
     pub fn read(&mut self, block: u64, out: &mut [u8]) -> Result<u64, NvmeError> {
-        let serviced_read = serviced(self.reactor.as_deref(), &mut self.stats.reactor, || {
-            self.ctrl.read_ns(&self.ns, block, out)
-        });
-        let service_ns = match serviced_read {
+        let service_ns = match self.ctrl.read_ns(&self.ns, block, out) {
             Ok(ns) => ns,
             Err(e) => return Err(self.fail_command(e)),
         };
@@ -582,10 +553,9 @@ impl IoManager {
     ///
     /// Propagates controller validation/FTL errors.
     pub fn discard(&mut self, block: u64, count: u64) -> Result<u64, NvmeError> {
-        let serviced_discard = serviced(self.reactor.as_deref(), &mut self.stats.reactor, || {
+        if let Err(e) =
             self.ctrl.deallocate_ns(&self.ns, &[DeallocRange { slba: block, nlb: count }])
-        });
-        if let Err(e) = serviced_discard {
+        {
             return Err(self.fail_command(e));
         }
         let service = DISCARD_BASE_SERVICE_NS + count * DISCARD_PER_BLOCK_NS;
@@ -631,55 +601,7 @@ impl IoManager {
     /// LOC region seal, is write-only, so its recovery treats any
     /// batch error as "nothing of this region landed".
     pub fn submit_batch(&mut self, mut batch: IoBatch<'_>) -> Result<Vec<u64>, NvmeError> {
-        // Phases 1-3 are the device-service section: in reactor mode
-        // the whole batch ships as ONE submission (the shard enqueues
-        // its IoBatch, drops out of the critical section and parks),
-        // so a region seal's mapping + memcpys + vectored trim all
-        // execute off this thread while other shards' submissions
-        // overlap them in wall-clock.
-        let ops = &mut batch.ops;
-        let serviced_batch = serviced(self.reactor.as_deref(), &mut self.stats.reactor, || {
-            // Phase 1: vectored write mapping under one media-lock hold.
-            let write_completions = {
-                let writes: Vec<BatchWrite<'_>> = ops
-                    .iter()
-                    .filter_map(|op| match op {
-                        BatchOp::Write { block, data, handle } => {
-                            Some(BatchWrite { slba: *block, data, dspec: handle.dspec() })
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                if writes.is_empty() {
-                    Vec::new()
-                } else {
-                    self.ctrl.write_batch_ns(&self.ns, &writes)?
-                }
-            };
-            // Phase 2: reads (mapping check under the media lock per
-            // command, payload loads outside it).
-            let mut read_services = Vec::new();
-            for op in ops.iter_mut() {
-                if let BatchOp::Read { block, out } = op {
-                    read_services.push(self.ctrl.read_ns(&self.ns, *block, out)?);
-                }
-            }
-            // Phase 3: one vectored DSM deallocate for every discard.
-            let ranges: Vec<DeallocRange> = ops
-                .iter()
-                .filter_map(|op| match op {
-                    BatchOp::Discard { block, count } => {
-                        Some(DeallocRange { slba: *block, nlb: *count })
-                    }
-                    _ => None,
-                })
-                .collect();
-            if !ranges.is_empty() {
-                self.ctrl.deallocate_ns(&self.ns, &ranges)?;
-            }
-            Ok((write_completions, read_services))
-        });
-        let (write_completions, read_services) = match serviced_batch {
+        let (write_completions, read_services) = match self.service_batch(&mut batch.ops) {
             Ok(v) => v,
             Err(e) => return Err(self.fail_command(e)),
         };
@@ -980,13 +902,6 @@ mod tests {
             bytes_read: 5,
             bytes_discarded: 6,
             faults: 7,
-            reactor: ReactorIoStats {
-                submissions: 8,
-                completions: 9,
-                ring_full_waits: 10,
-                parked_ns: 11,
-                config_mismatches: 12,
-            },
             health: HealthIoStats {
                 state: HealthState::Degraded,
                 errors: 13,
@@ -1007,13 +922,6 @@ mod tests {
                 bytes_read: 10,
                 bytes_discarded: 12,
                 faults: 14,
-                reactor: ReactorIoStats {
-                    submissions: 16,
-                    completions: 18,
-                    ring_full_waits: 20,
-                    parked_ns: 22,
-                    config_mismatches: 24,
-                },
                 health: HealthIoStats {
                     state: HealthState::Degraded,
                     errors: 26,
@@ -1024,107 +932,6 @@ mod tests {
                 },
             }
         );
-        // The virtual view keeps every deterministic field (health
-        // included — it is virtual-time derived) and zeroes only the
-        // wall-clock reactor counters.
-        assert_eq!(b.virtual_view(), IoStats { reactor: ReactorIoStats::default(), ..b });
-        assert_eq!(b.virtual_view().health, b.health);
-    }
-
-    #[test]
-    fn reactor_mode_replays_bit_identical_virtual_time() {
-        // Same command sequence, inline vs reactor: clocks, latencies,
-        // histograms and the virtual view of the stats must be
-        // byte-identical — the reactor only moves wall-clock service.
-        let (ctrl_a, ns_a) = timed_setup();
-        let (ctrl_b, ns_b) = timed_setup();
-        let mut inline = IoManager::new(ctrl_a, ns_a, 4).unwrap();
-        let mut reactor = IoManager::new(ctrl_b, ns_b, 4).unwrap();
-        reactor.set_service_mode(ServiceMode::Reactor { workers: 2 });
-        assert_eq!(reactor.service_mode(), ServiceMode::Reactor { workers: 2 });
-        let data = vec![0xC3; 2 * 4096];
-        let handle = PlacementHandle::with_dspec(1);
-        let mut out = vec![0u8; 2 * 4096];
-        for io in [&mut inline, &mut reactor] {
-            for i in 0..24u64 {
-                io.write(i * 2, &data, handle).unwrap();
-            }
-            for i in 0..24u64 {
-                io.read(i * 2, &mut out).unwrap();
-            }
-            io.discard(0, 4).unwrap();
-        }
-        assert_eq!(out, data);
-        assert_eq!(inline.now_ns(), reactor.now_ns(), "virtual clocks must match");
-        assert_eq!(inline.stats(), reactor.stats().virtual_view());
-        assert_eq!(inline.write_latency().p99(), reactor.write_latency().p99());
-        assert_eq!(inline.read_latency().p99(), reactor.read_latency().p99());
-        // Reactor telemetry counted one submission per command.
-        let r = reactor.stats().reactor;
-        assert_eq!(r.submissions, 24 + 24 + 1);
-        assert_eq!(r.completions, r.submissions);
-    }
-
-    #[test]
-    fn reactor_mode_batches_ship_as_one_submission() {
-        let (ctrl_a, ns_a) = timed_setup();
-        let (ctrl_b, ns_b) = timed_setup();
-        let mut inline = IoManager::new(ctrl_a, ns_a, 4).unwrap();
-        let mut reactor = IoManager::new(ctrl_b, ns_b, 4).unwrap();
-        reactor.set_service_mode(ServiceMode::Reactor { workers: 2 });
-        let bufs: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 4 * 4096]).collect();
-        let handle = PlacementHandle::with_dspec(1);
-        let mut latencies = Vec::new();
-        for io in [&mut inline, &mut reactor] {
-            let mut batch = IoBatch::with_capacity(bufs.len() + 1);
-            for (i, d) in bufs.iter().enumerate() {
-                batch.write(i as u64 * 4, d, handle);
-            }
-            batch.discard(0, 4);
-            latencies.push(io.submit_batch(batch).unwrap());
-        }
-        assert_eq!(latencies[0], latencies[1], "per-command latencies must match");
-        assert_eq!(inline.now_ns(), reactor.now_ns());
-        assert_eq!(inline.stats(), reactor.stats().virtual_view());
-        // The whole batch was one reactor submission, not one per op.
-        assert_eq!(reactor.stats().reactor.submissions, 1);
-    }
-
-    #[test]
-    fn reactor_mode_faults_replay_deterministically() {
-        use fdpcache_nvme::{FaultConfig, FaultKind, FaultStore, ScriptedFault};
-        let build = || {
-            let fault_cfg = FaultConfig {
-                scripted: vec![ScriptedFault {
-                    kind: FaultKind::WriteError,
-                    lba: 0,
-                    at_access: 0,
-                    repeats: 1,
-                }],
-                ..Default::default()
-            };
-            let store = FaultStore::new(Box::new(MemStore::new()), fault_cfg);
-            let ctrl = Arc::new(Controller::new(FtlConfig::tiny_test(), Box::new(store)).unwrap());
-            let nsid = ctrl.create_namespace(64, vec![0, 1]).unwrap();
-            IoManager::new(ctrl, nsid, 1).unwrap()
-        };
-        let mut inline = build();
-        let mut reactor = build();
-        reactor.set_service_mode(ServiceMode::Reactor { workers: 2 });
-        let data = vec![1u8; 4096];
-        for io in [&mut inline, &mut reactor] {
-            let err = io.write(0, &data, PlacementHandle::DEFAULT).unwrap_err();
-            assert!(matches!(err, NvmeError::MediaError { lba: 0, .. }));
-            io.write(0, &data, PlacementHandle::DEFAULT).unwrap();
-        }
-        assert_eq!(inline.now_ns(), reactor.now_ns());
-        // stats() equality now also covers the health snapshot: the
-        // monitor is virtual-time fed, so both service modes observe
-        // the same error at the same stamp.
-        assert_eq!(inline.stats(), reactor.stats().virtual_view());
-        assert_eq!(inline.stats().faults, 1);
-        assert_eq!(inline.stats().health.errors, 1);
-        assert_eq!(inline.stats().health, reactor.stats().health);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! Because every input is virtual-time and per-observer, a monitor
 //! embedded in a shard's I/O manager transitions at bit-identical
-//! virtual times across reactor worker counts and service modes — the
+//! virtual times across worker counts and reruns — the
 //! property the cache tier's circuit breaker (and the `bench_chaos`
 //! gate) relies on. Transitions are recorded with their virtual
 //! timestamps for exactly that comparison.

@@ -58,7 +58,6 @@ pub mod identify;
 pub mod logpage;
 pub mod namespace;
 pub mod queue;
-pub mod reactor;
 pub mod retry;
 
 pub use command::{DeallocRange, IoCommand};
@@ -80,5 +79,4 @@ pub use identify::{ControllerIdentity, FdpConfigDescriptor};
 pub use logpage::{FdpConfigLog, RuhUsageDescriptor, RuhUsageLog};
 pub use namespace::{Namespace, NamespaceId};
 pub use queue::{CommandId, Completion, QueuePair};
-pub use reactor::{IoReactor, ReactorConfig, ReactorIoStats, ServiceMode, SubmitTelemetry};
 pub use retry::{RetryPolicy, RetrySchedule};

@@ -14,7 +14,7 @@
 
 use fdpcache_cache::value::Value;
 use fdpcache_cache::{ConcurrentPool, HybridCache};
-use fdpcache_core::{ServiceMode, SharedController};
+use fdpcache_core::SharedController;
 use serde::Serialize;
 
 use crate::concurrent::{run_pool_round, PoolMode};
@@ -320,11 +320,6 @@ pub struct PoolReplayConfig {
     /// LBA ranges, so faulted partitioned replays stay bit-identical
     /// across reruns *and* worker counts.
     pub fault: Option<crate::faults::FaultScenario>,
-    /// Where device service executes during the replay:
-    /// [`ServiceMode::Inline`] on each worker thread (the default), or
-    /// [`ServiceMode::Reactor`] on the device's completion-reactor
-    /// workers. Virtual-time results are bit-identical either way.
-    pub service: ServiceMode,
 }
 
 impl Default for PoolReplayConfig {
@@ -337,7 +332,6 @@ impl Default for PoolReplayConfig {
             mode: PoolMode::Partitioned,
             queue_depth: 1,
             fault: None,
-            service: ServiceMode::Inline,
         }
     }
 }
@@ -387,7 +381,6 @@ pub fn replay_pool<S: RequestSource + Send>(
         })
         .collect();
     pool.set_queue_depth(cfg.queue_depth);
-    pool.set_service_mode(cfg.service);
     if cfg.warmup_ops > 0 {
         check(run_pool_round(pool, &mut sources, cfg.mode, cfg.warmup_ops))?;
     }
@@ -551,7 +544,6 @@ mod tests {
             mode: crate::concurrent::PoolMode::Contended,
             queue_depth: 1,
             fault: None,
-            service: ServiceMode::Inline,
         };
         let r = replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| {
             profile.generator(5_000, seed)
@@ -578,7 +570,6 @@ mod tests {
             mode: crate::concurrent::PoolMode::Partitioned,
             queue_depth: 1,
             fault: None,
-            service: ServiceMode::Inline,
         };
         let r = replay_pool("FDP", profile.name, &pool, &ctrl, &cfg, |seed| {
             profile.generator(5_000, seed)

@@ -18,7 +18,7 @@ use fdpcache::cache::{
 };
 use fdpcache::ftl::FtlConfig;
 use fdpcache::nvme::{Controller, FaultConfig, FaultKind, NamespaceId, ScriptedFault};
-use fdpcache::placement::RoundRobinPolicy;
+use fdpcache::placement::{IoStats, RoundRobinPolicy};
 
 const BLOCK: u64 = 4096;
 
@@ -122,6 +122,10 @@ struct MatrixOutcome {
     lost: u64,
     resurrected: u64,
     final_stats: CacheStats,
+    /// Virtual clock and I/O counters after the recovered instance
+    /// finishes the script.
+    final_now_ns: u64,
+    final_io: IoStats,
 }
 
 /// Replays the script against a stack armed with one kill, recovers at
@@ -192,6 +196,8 @@ fn run_matrix_point(lba: u64, at_access: u64, ops: u64) -> MatrixOutcome {
         lost,
         resurrected,
         final_stats: cache.stats(),
+        final_now_ns: cache.now_ns(),
+        final_io: cache.navy().io().stats(),
     }
 }
 
