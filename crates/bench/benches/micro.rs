@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the hot paths of every layer:
-//! FTL writes and GC, SOC insert/lookup, LOC append, synthetic payload
-//! materialization, Zipf sampling, Lambert-W evaluation, and the
-//! end-to-end cache get/put path.
+//! FTL writes and GC, SOC insert/lookup, LOC append, the lock-free read
+//! index and the DRAM LRU, synthetic payload materialization, Zipf
+//! sampling, Lambert-W evaluation, and the end-to-end cache get/put
+//! path.
 //!
 //! These are engineering benchmarks (simulator throughput), not paper
 //! reproductions — the figure/table binaries in `src/bin/` are those.
@@ -9,8 +10,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use fdpcache_cache::builder::{build_stack, StoreKind};
+use fdpcache_cache::ram::RamCache;
 use fdpcache_cache::value::Value;
-use fdpcache_cache::{CacheConfig, NvmConfig};
+use fdpcache_cache::{CacheConfig, NvmConfig, ReadIndex};
 use fdpcache_ftl::{Ftl, FtlConfig};
 use fdpcache_model::lambert_w0;
 use fdpcache_workloads::{SizeDist, Zipf};
@@ -103,6 +105,43 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
+/// The DRAM layer alone: the lock-free index a pool's `get` probes, and
+/// the LRU every `put` goes through before flash.
+fn bench_dram(c: &mut Criterion) {
+    const KEYS: u64 = 10_000;
+    let mut g = c.benchmark_group("index");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("get_hit", |b| {
+        let idx = ReadIndex::with_capacity_hint(KEYS as usize);
+        for k in 0..KEYS {
+            idx.insert(k, Value::synthetic(200));
+        }
+        let mut k = 0u64;
+        b.iter(|| {
+            k = (k + 1) % KEYS;
+            black_box(idx.get(black_box(k)))
+        });
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("ram");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("put_evict", |b| {
+        // Full from the start, so every put of a fresh key evicts one
+        // resident (same size and overhead) at a steady rate.
+        let mut ram = RamCache::new(KEYS * 231, 31);
+        for k in 0..KEYS {
+            ram.put(k, Value::synthetic(200));
+        }
+        let mut k = KEYS;
+        b.iter(|| {
+            k += 1;
+            black_box(ram.put(black_box(k), Value::synthetic(200)))
+        });
+    });
+    g.finish();
+}
+
 fn bench_payload(c: &mut Criterion) {
     let mut g = c.benchmark_group("payload");
     // The bytes every synthetic flash insert writes (a LOC object here;
@@ -155,5 +194,13 @@ fn bench_model(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_ftl, bench_cache, bench_payload, bench_workloads, bench_model);
+criterion_group!(
+    benches,
+    bench_ftl,
+    bench_cache,
+    bench_dram,
+    bench_payload,
+    bench_workloads,
+    bench_model
+);
 criterion_main!(benches);

@@ -35,11 +35,14 @@
 //! * **Lock-free DRAM hits** (DESIGN.md §5.1a): `get` first probes the
 //!   shard's epoch-protected [`ReadIndex`] — the publication surface
 //!   its `RamCache` maintains — entirely without the shard mutex. A hit
-//!   clones the `Arc`-backed value, bumps the shard's atomic
-//!   [`ReadSideStats`] (hit counters + virtual host time), and returns.
-//!   Only on an index miss does `get` fall back to the locked path for
-//!   the flash lookup. Readers on the head of a Zipf keyspace therefore
-//!   never serialize behind writers or each other.
+//!   clones the `Arc`-backed value, bumps the calling thread's stripe
+//!   of the shard's [`ReadSideStats`] (hit count + virtual host time),
+//!   and returns. Only on an index miss does `get` fall back to the
+//!   locked path for the flash lookup. Readers on the head of a Zipf
+//!   keyspace therefore never serialize behind writers or each other,
+//!   and a hit writes no cache line another core writes: each shard
+//!   keeps the two handles a hit loads on a line of their own, apart
+//!   from the mutex and the `HybridCache` that writers dirty.
 //!
 //! What is and is not linearizable: operations on the *same key* are
 //! linearizable. Writes serialize through the key's shard lock, and a
@@ -52,6 +55,7 @@
 
 use std::sync::Arc;
 
+use crossbeam::utils::CachePadded;
 use fdpcache_core::{IoStats, PlacementPolicy, SharedController};
 use fdpcache_metrics::Histogram;
 use parking_lot::Mutex;
@@ -68,18 +72,23 @@ use crate::Key;
 /// One shard: the locked hybrid cache plus unlocked handles onto its
 /// read index and read-side counters (cloned out of the cache at
 /// construction so `get` can use them without touching the mutex).
+///
+/// `repr(C)` fixes the layout: the handles lock-free readers load share
+/// line 0, and the mutex with its `HybridCache` (stored to by every
+/// locked operation) starts on a padded line of its own.
 #[derive(Debug)]
+#[repr(C)]
 struct Shard {
-    cache: Mutex<HybridCache>,
     index: Arc<ReadIndex>,
     read_stats: Arc<ReadSideStats>,
+    cache: CachePadded<Mutex<HybridCache>>,
 }
 
 impl Shard {
     fn new(cache: HybridCache) -> Self {
         let index = cache.read_index();
         let read_stats = cache.read_stats();
-        Shard { cache: Mutex::new(cache), index, read_stats }
+        Shard { index, read_stats, cache: CachePadded::new(Mutex::new(cache)) }
     }
 }
 
@@ -371,6 +380,45 @@ mod tests {
         }
         assert_eq!(p.stats().gets, 200);
         assert_eq!(p.stats().puts, 200);
+    }
+
+    #[test]
+    fn striped_hit_counters_stay_exact_across_threads() {
+        let (_ctrl, p) = pool(1);
+        p.put(5, Value::synthetic(64)).unwrap();
+        const THREADS: u64 = 4;
+        const HITS: u64 = 5_000;
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..HITS {
+                        assert_eq!(p.get(5).unwrap().0, GetOutcome::RamHit);
+                    }
+                });
+            }
+        });
+        let stats = &p.shards[0].read_stats;
+        let hits = THREADS * HITS;
+        assert_eq!((stats.gets(), stats.ram_hits()), (hits, hits));
+        assert_eq!(stats.host_ns(), hits * HOST_OP_NS, "virtual host time must sum exactly");
+        assert_eq!(p.stats().ram_hits, hits);
+    }
+
+    #[test]
+    fn reader_handles_sit_apart_from_the_locked_cache() {
+        use std::mem::{align_of, offset_of, size_of};
+        const LINE: usize = 64;
+        assert!(align_of::<Shard>() >= LINE, "lines must start at the shard's base");
+        let read_stats_end = offset_of!(Shard, read_stats) + size_of::<Arc<ReadSideStats>>() - 1;
+        assert_eq!(offset_of!(Shard, index) / LINE, 0);
+        assert_eq!(read_stats_end / LINE, 0);
+        assert_eq!(offset_of!(Shard, cache) % LINE, 0, "the locked cache must start a line");
+        assert!(offset_of!(Shard, cache) > read_stats_end);
+        // Shards sit back to back in a Vec: the next shard's handles
+        // must not share the tail line of this one's cache.
+        assert_eq!(size_of::<Shard>() % LINE, 0);
     }
 
     #[test]

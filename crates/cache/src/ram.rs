@@ -9,7 +9,9 @@
 //!
 //! Every membership change is mirrored into a [`ReadIndex`] the cache
 //! owns: concurrent readers resolve DRAM hits through that index with
-//! no lock (DESIGN.md §5.1a). The locked [`RamCache::get`] keeps exact
+//! no lock (DESIGN.md §5.1a). The slab holds the very `Arc<IndexEntry>`
+//! the index links into its chains, so the key, value and access flag
+//! live in one allocation. The locked [`RamCache::get`] keeps exact
 //! LRU promotion; lock-free index hits instead set the entry's
 //! `accessed` flag, and eviction grants flagged tail entries a second
 //! chance (one rotation) before evicting — CLOCK-style approximation
@@ -27,7 +29,7 @@ const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
 struct Node {
-    key: Key,
+    /// Shared with the read index; carries the key and value.
     entry: Arc<IndexEntry>,
     charge: u64,
     prev: u32,
@@ -77,7 +79,7 @@ impl RamCache {
             capacity_bytes,
             item_overhead,
             index: Arc::new(ReadIndex::with_capacity_hint(hint)),
-            tombstone: IndexEntry::new(Value::Synthetic(0)),
+            tombstone: IndexEntry::new(0, Value::Synthetic(0)),
         }
     }
 
@@ -174,17 +176,20 @@ impl RamCache {
             evicted.push(Evicted { key, value });
             return evicted;
         }
-        let entry = IndexEntry::new(value);
+        // Publish first (replaces any older index entry atomically for
+        // lock-free readers); the shard lock hides the moment the local
+        // structures lag behind.
+        let entry = self.index.insert(key, value);
         // Replace in place if present.
         if let Some(&idx) = self.map.get(&key) {
             let old_charge = self.nodes[idx as usize].charge;
             self.used_bytes = self.used_bytes - old_charge + charge;
-            self.nodes[idx as usize].entry = Arc::clone(&entry);
+            self.nodes[idx as usize].entry = entry;
             self.nodes[idx as usize].charge = charge;
             self.detach(idx);
             self.attach_front(idx);
         } else {
-            let node = Node { key, entry: Arc::clone(&entry), charge, prev: NIL, next: NIL };
+            let node = Node { entry, charge, prev: NIL, next: NIL };
             let idx = match self.free.pop() {
                 Some(i) => {
                     self.nodes[i as usize] = node;
@@ -199,9 +204,6 @@ impl RamCache {
             self.attach_front(idx);
             self.used_bytes += charge;
         }
-        // Publish after the local structures agree (replaces any older
-        // index entry atomically for lock-free readers).
-        self.index.insert(key, entry);
         // Evict until within budget. A tail entry that lock-free
         // readers flagged since its last consideration gets one second
         // chance (rotate to front); the rotation budget bounds the
@@ -210,7 +212,7 @@ impl RamCache {
         while self.used_bytes > self.capacity_bytes {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "over budget with empty list");
-            let vkey = self.nodes[victim as usize].key;
+            let vkey = self.nodes[victim as usize].entry.key();
             if vkey == key {
                 // Never evict the item we just inserted; budget check
                 // above guarantees it fits alone.
@@ -255,8 +257,9 @@ impl RamCache {
         let mut prev = NIL;
         while idx != NIL {
             let n = &self.nodes[idx as usize];
-            assert_eq!(n.prev, prev, "prev link broken at {}", n.key);
-            assert_eq!(self.map.get(&n.key), Some(&idx), "map missing {}", n.key);
+            let key = n.entry.key();
+            assert_eq!(n.prev, prev, "prev link broken at {key}");
+            assert_eq!(self.map.get(&key), Some(&idx), "map missing {key}");
             bytes += n.charge;
             seen += 1;
             prev = idx;

@@ -5,12 +5,17 @@
 //! (DESIGN.md §5.1a): the plain [`CacheStats`] struct is mutated under
 //! the shard lock as before, while hits served without the lock land in
 //! the shard's [`ReadSideStats`] atomics and are folded into every
-//! snapshot on read. Each atomic is only incremented (never reset), so
-//! any interleaving of concurrent readers produces monotonically
+//! snapshot on read. Those atomics are striped per thread, each stripe
+//! on its own cache line, so concurrent readers never write a line
+//! another core writes (the per-CPU counter pattern); a read sums the
+//! stripes. Each stripe is only incremented (never reset), so any
+//! interleaving of concurrent readers produces monotonically
 //! non-decreasing merged snapshots — the mid-run coherence property the
 //! lock-free battery asserts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crossbeam::utils::CachePadded;
 
 /// Monotonic hybrid-cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,53 +152,88 @@ impl CacheStats {
     }
 }
 
+/// Stripes per [`ReadSideStats`]: threads beyond this many share a
+/// stripe (still exact, only contended).
+const STRIPES: usize = 16;
+
+/// One thread stripe of the read-side counters.
+#[derive(Debug, Default)]
+struct Stripe {
+    gets: AtomicU64,
+    /// Virtual host-CPU nanoseconds accrued by lock-free hits.
+    host_ns: AtomicU64,
+}
+
+/// The calling thread's stripe: threads take consecutive stripes in the
+/// order they first record a hit, so a pool's few reader threads each
+/// get a line of their own.
+fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    STRIPE.with(|s| *s)
+}
+
 /// Atomic counters for GETs served off the lock-free DRAM read path.
 ///
 /// One instance per shard, shared between the shard's `HybridCache`
 /// (which folds it into [`CacheStats`] snapshots) and the pool's
-/// lock-free `get`. All counters use `Relaxed` ordering: they are
-/// statistics, not synchronization — exactness comes from
-/// `fetch_add`'s atomicity (no lost updates), and snapshot monotonicity
-/// from the counters never decreasing.
-#[derive(Debug, Default)]
+/// lock-free `get`. A hit adds to the calling thread's cache-padded
+/// stripe; reads sum every stripe. All counters use `Relaxed` ordering:
+/// they are statistics, not synchronization — exactness comes from
+/// `fetch_add`'s atomicity (no lost updates, even when threads share a
+/// stripe), and snapshot monotonicity from the stripes never
+/// decreasing. The sums are the same totals whatever the striping, so
+/// virtual time does not depend on which thread served a hit.
+#[derive(Default)]
 pub struct ReadSideStats {
-    gets: AtomicU64,
-    ram_hits: AtomicU64,
-    /// Virtual host-CPU nanoseconds accrued by lock-free hits; folded
-    /// into the shard clock by `HybridCache::now_ns`.
-    host_ns: AtomicU64,
+    stripes: [CachePadded<Stripe>; STRIPES],
+}
+
+impl std::fmt::Debug for ReadSideStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReadSideStats")
+            .field("gets", &self.gets())
+            .field("host_ns", &self.host_ns())
+            .finish()
+    }
 }
 
 impl ReadSideStats {
     /// Records one DRAM hit served without the shard lock, accruing
     /// `host_ns` of virtual host time.
     pub fn record_ram_hit(&self, host_ns: u64) {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.ram_hits.fetch_add(1, Ordering::Relaxed);
-        self.host_ns.fetch_add(host_ns, Ordering::Relaxed);
+        let stripe = &self.stripes[thread_stripe()];
+        stripe.gets.fetch_add(1, Ordering::Relaxed);
+        stripe.host_ns.fetch_add(host_ns, Ordering::Relaxed);
+    }
+
+    fn sum(&self, field: impl Fn(&Stripe) -> &AtomicU64) -> u64 {
+        self.stripes.iter().map(|s| field(s).load(Ordering::Relaxed)).sum()
     }
 
     /// GETs served on the lock-free path so far.
     pub fn gets(&self) -> u64 {
-        self.gets.load(Ordering::Relaxed)
+        self.sum(|s| &s.gets)
     }
 
-    /// DRAM hits served on the lock-free path so far (equals `gets` —
-    /// the path only completes on hits — but kept separate so the fold
-    /// stays field-accurate if that ever changes).
+    /// DRAM hits served on the lock-free path so far: the path only
+    /// completes on hits, so this is [`Self::gets`].
     pub fn ram_hits(&self) -> u64 {
-        self.ram_hits.load(Ordering::Relaxed)
+        self.gets()
     }
 
     /// Virtual host nanoseconds accrued by lock-free hits.
     pub fn host_ns(&self) -> u64 {
-        self.host_ns.load(Ordering::Relaxed)
+        self.sum(|s| &s.host_ns)
     }
 
     /// Adds this side's counters into a locked-path snapshot.
     pub fn fold_into(&self, stats: &mut CacheStats) {
-        stats.gets += self.gets();
-        stats.ram_hits += self.ram_hits();
+        let hits = self.gets();
+        stats.gets += hits;
+        stats.ram_hits += hits;
     }
 }
 
@@ -290,10 +330,12 @@ mod tests {
 
     #[test]
     fn read_side_counts_are_exact_under_contention() {
+        // More threads than stripes, so at least two share one.
         let r = ReadSideStats::default();
-        const PER_THREAD: u64 = 20_000;
+        let threads = STRIPES as u64 + 2;
+        const PER_THREAD: u64 = 5_000;
         std::thread::scope(|s| {
-            for _ in 0..4 {
+            for _ in 0..threads {
                 s.spawn(|| {
                     for _ in 0..PER_THREAD {
                         r.record_ram_hit(3);
@@ -301,7 +343,18 @@ mod tests {
                 });
             }
         });
-        assert_eq!(r.gets(), 4 * PER_THREAD, "lost increments");
-        assert_eq!(r.host_ns(), 4 * PER_THREAD * 3);
+        let hits = threads * PER_THREAD;
+        assert_eq!((r.gets(), r.ram_hits()), (hits, hits), "lost increments");
+        assert_eq!(r.host_ns(), hits * 3);
+    }
+
+    #[test]
+    fn each_stripe_owns_its_cache_lines() {
+        use std::mem::{align_of, size_of};
+        const LINE: usize = 64;
+        assert!(align_of::<CachePadded<Stripe>>() >= LINE);
+        assert_eq!(size_of::<CachePadded<Stripe>>() % LINE, 0);
+        assert!(size_of::<Stripe>() <= LINE, "a stripe must fit one line");
+        assert!(align_of::<ReadSideStats>() >= LINE, "stripe 0 must start a line");
     }
 }
